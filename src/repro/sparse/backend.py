@@ -170,7 +170,10 @@ class ArrayBackend(abc.ABC):
         ebe, bcrs, precond) routes through.  fp64 is a no-op."""
         return precision.quantize_(a)
 
-    # -- gather / apply / scatter (the EBE sweep) ---------------------
+    # -- gather / apply / scatter -------------------------------------
+    # The EBE sweep is gather -> batched apply -> ``spmv_csr`` with its
+    # prebuilt scatter plan; ``scatter_rows`` serves the distributed
+    # global-preconditioner permutation.
     @abc.abstractmethod
     def gather_rows(self, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = X[idx]`` row gather (``idx`` may be multi-dim; all
@@ -180,14 +183,6 @@ class ArrayBackend(abc.ABC):
     def batched_matmul(self, A: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Batched dense mat-vec ``out[e] = A[e] @ X[e]`` over the
         leading axis (the per-element 30x30 apply)."""
-
-    @abc.abstractmethod
-    def segment_sum(
-        self, contrib: np.ndarray, starts: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Row-segment sums: ``out[s] = contrib[starts[s]:starts[s+1]].sum(0)``
-        (last segment runs to the end) — the deterministic scatter
-        reduction."""
 
     @abc.abstractmethod
     def scatter_rows(
@@ -297,10 +292,6 @@ class NumpyBackend(ArrayBackend):
 
     def batched_matmul(self, A, X, out):
         np.matmul(A, X, out=out)
-        return out
-
-    def segment_sum(self, contrib, starts, out):
-        np.add.reduceat(contrib, starts, axis=0, out=out)
         return out
 
     def scatter_rows(self, Y, targets, values):

@@ -97,15 +97,6 @@ class CupyBackend(ArrayBackend):  # pragma: no cover - needs a GPU + cupy
     def batched_matmul(self, A, X, out):
         return self._h(out, cp.matmul(self._d(A), self._d(X)))
 
-    def segment_sum(self, contrib, starts, out):
-        d = self._d(contrib)
-        s = np.asarray(starts)
-        bounds = np.append(s, contrib.shape[0])
-        dev = cp.empty((s.size, contrib.shape[1]))
-        for k in range(s.size):
-            dev[k] = d[bounds[k]:bounds[k + 1]].sum(axis=0)
-        return self._h(out, dev)
-
     def scatter_rows(self, Y, targets, values):
         d = cp.zeros(Y.shape)
         d[self._d(targets)] = self._d(values)

@@ -4,21 +4,23 @@ Applies ``sum_e P_e^T (A_e (P_e x))`` without a global matrix:
 
 1. gather  — ``x`` restricted to each element's 30 local dofs;
 2. apply   — batched dense 30x30 mat-vec against the element matrices;
-3. scatter — accumulate element results back to global dofs
-   (bincount-based; deterministic, no atomics needed on the host).
+3. scatter — accumulate element results back to global dofs through a
+   prebuilt CSR scatter plan (one row per dof, listing its element
+   contributions in element order); deterministic, no atomics needed
+   on the host.
 
 The fused multi-RHS path applies all ``r`` case vectors inside one
 gather/scatter sweep — the paper's Eq. 9, which reduces the random
 access per case to ``1/r``.  The sweep runs entirely inside
-preallocated per-``r`` workspaces (gather, apply, sorted-scatter
-buffers), so steady-state applications — e.g. every ``pcg``
+preallocated per-``r`` workspaces (gather and apply buffers plus the
+result block), so steady-state applications — e.g. every ``pcg``
 iteration of a campaign cell — allocate nothing.
 
 The host execution stores ``A_e`` in memory and runs the sweep through
 the pluggable :class:`~repro.sparse.backend.ArrayBackend` primitives
-(gather / batched apply / segment-sum / scatter); the *modeled* device
-kernel (what the tally is charged with) recomputes element matrices on
-the fly like the paper's OpenACC kernel, per
+(gather / batched apply / CSR SpMV); the *modeled* device kernel (what
+the tally is charged with) recomputes element matrices on the fly like
+the paper's OpenACC kernel, per
 :func:`repro.sparse.traffic.ebe_traffic` — identically for every
 backend.
 """
@@ -39,14 +41,12 @@ __all__ = ["EBEOperator"]
 class _SweepWorkspace:
     """Reusable buffers for one fused sweep width ``r``."""
 
-    __slots__ = ("xe", "ye", "sorted_contrib", "reduced", "y")
+    __slots__ = ("xe", "ye", "y")
 
-    def __init__(self, ne: int, n: int, n_targets: int, r: int,
+    def __init__(self, ne: int, n: int, r: int,
                  backend: ArrayBackend) -> None:
         self.xe = backend.empty((ne, 30, r))
         self.ye = backend.empty((ne, 30, r))
-        self.sorted_contrib = backend.empty((ne * 30, r))
-        self.reduced = backend.empty((n_targets, r))
         self.y = backend.empty((n, r))
 
 
@@ -101,30 +101,25 @@ class EBEOperator:
         if self._dof.max() >= 3 * n_nodes:
             raise ValueError("connectivity references nodes beyond n_nodes")
         if self._dof.min() < 0:
-            # the clip-mode gather/scatter below relies on validated
+            # the clip-mode gather below relies on validated
             # indices; negatives would silently wrap instead of raising
             raise ValueError("connectivity references negative node ids")
-        # Deterministic scatter plan: stable sort groups the flat
-        # contributions by target dof, segment sums preserve the
-        # original element order within each dof (matching the old
-        # per-column bincount to the bit).
-        order = np.argsort(self._dof_flat, kind="stable")
-        sorted_dofs = self._dof_flat[order]
-        seg_starts = np.flatnonzero(
-            np.r_[True, sorted_dofs[1:] != sorted_dofs[:-1]]
-        )
-        self._scatter_order = order
-        self._scatter_starts = seg_starts
-        self._scatter_targets = sorted_dofs[seg_starts]
+        # Scatter plan: a fixed (n, 30 ne) CSR matrix of ones whose row
+        # d lists, in element order (stable sort), every flat element
+        # contribution landing on dof d.  One SpMV accumulates each dof
+        # sequentially — bit-equal to ``np.add.at`` from zeros.
+        self._scatter_indices = np.argsort(self._dof_flat, kind="stable")
+        self._scatter_indptr = np.zeros(
+            self.n + 1, dtype=self._scatter_indices.dtype)
+        np.cumsum(np.bincount(self._dof_flat, minlength=self.n),
+                  out=self._scatter_indptr[1:])
+        self._scatter_data = np.ones(self._dof_flat.size)
         self._ws: dict[int, _SweepWorkspace] = {}
 
     def _workspace(self, r: int) -> _SweepWorkspace:
         ws = self._ws.get(r)
         if ws is None:
-            ws = _SweepWorkspace(
-                self.n_elems, self.n, self._scatter_targets.size, r,
-                self.backend,
-            )
+            ws = _SweepWorkspace(self.n_elems, self.n, r, self.backend)
             self._ws[r] = ws
         return ws
 
@@ -151,10 +146,11 @@ class EBEOperator:
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply to ``(n,)`` or fused ``(n, r)`` vectors.
 
-        ``out`` (block shape ``(n, r)``, C-contiguous) receives the
-        result without allocating; otherwise a fresh copy is returned
-        (the sweep itself still runs in the workspace buffers, so
-        callers may hold several results simultaneously).
+        ``out`` (block shape ``(n, r)``) receives the result — without
+        allocating when it is C-contiguous, through one temporary
+        otherwise (e.g. a column slice); without ``out`` a fresh copy
+        is returned (the sweep itself still runs in the workspace
+        buffers, so callers may hold several results simultaneously).
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -179,16 +175,15 @@ class EBEOperator:
     def _sweep(self, X: np.ndarray, Y: np.ndarray,
                ws: _SweepWorkspace) -> np.ndarray:
         """The gather/apply/scatter hot path, pure backend primitives
-        (both index arrays are validated in-range at construction, so
-        the gathers need no bounds re-checks)."""
+        (the gather indices are validated in range at construction, so
+        the gather needs no bounds re-check; the scatter is one SpMV
+        with the prebuilt plan)."""
         bk = self.backend
         bk.gather_rows(X, self._dof, ws.xe)
         bk.quantize_store(ws.xe, self.precision)  # storage-format gather
         bk.batched_matmul(self.Ae, ws.xe, ws.ye)
-        flat_contrib = ws.ye.reshape(-1, X.shape[1])
-        bk.gather_rows(flat_contrib, self._scatter_order, ws.sorted_contrib)
-        bk.segment_sum(ws.sorted_contrib, self._scatter_starts, ws.reduced)
-        bk.scatter_rows(Y, self._scatter_targets, ws.reduced)
+        bk.spmv_csr(self._scatter_indptr, self._scatter_indices,
+                    self._scatter_data, ws.ye.reshape(-1, X.shape[1]), Y)
         return Y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

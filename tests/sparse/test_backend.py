@@ -211,21 +211,6 @@ def test_batched_matmul(bk):
     np.testing.assert_allclose(out, A @ X, rtol=1e-13)
 
 
-def test_segment_sum(bk):
-    rng = _rng(6)
-    contrib = rng.standard_normal((17, 3))
-    # strictly advancing starts: the EBE scatter plan guarantees
-    # non-empty segments (reduceat's empty-segment quirk never arises)
-    starts = np.array([0, 4, 9, 16])
-    out = np.empty((4, 3))
-    bk.segment_sum(contrib, starts, out)
-    bounds = list(starts) + [17]
-    expect = np.stack([
-        contrib[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])
-    ])
-    np.testing.assert_allclose(out, expect, rtol=1e-13)
-
-
 def test_scatter_rows(bk):
     rng = _rng(7)
     Y = rng.standard_normal((10, 3))  # pre-filled garbage must vanish

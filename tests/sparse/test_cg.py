@@ -170,11 +170,18 @@ def test_fused_pcg_allocates_no_per_iteration_temporaries(small_problem, rng):
 
 def test_ebe_matvec_out_reuses_buffers(small_problem, rng):
     """EBE multi-RHS application into a caller buffer allocates no new
-    arrays once the per-r workspace exists."""
+    arrays once the per-r workspace exists, and that workspace holds
+    only the gather, apply and result blocks (the scatter is one
+    ``csr_matvecs`` pass straight into the result)."""
     op = small_problem.ebe_operator()
-    X = rng.standard_normal((op.n, 3))
+    r = 3
+    X = rng.standard_normal((op.n, r))
     out = np.empty_like(X)
     expect = op.matvec(X)  # warm-up allocates the r=3 workspace
+    ws = op._ws[r]
+    assert ws.__slots__ == ("xe", "ye", "y")
+    held = sum(getattr(ws, name).nbytes for name in ws.__slots__)
+    assert held == (2 * 30 * op.n_elems + op.n) * r * 8
     tracemalloc.start()
     op.matvec(X, out=out)
     _, peak = tracemalloc.get_traced_memory()

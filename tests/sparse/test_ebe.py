@@ -54,6 +54,47 @@ def test_to_dense_matches(small_problem):
     np.testing.assert_allclose(dense, ref, atol=1e-10 * np.abs(ref).max())
 
 
+def _reference_sweep(op, X):
+    """The same gather and element apply as the sweep, then the
+    sequential element-order scatter ``np.add.at`` performs."""
+    r = X.shape[1]
+    xe = op.precision.quantize(X[op._dof])
+    ye = np.matmul(op.Ae, xe)
+    Y = np.zeros((op.n, r))
+    np.add.at(Y, op._dof_flat, ye.reshape(-1, r))
+    return Y
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp21"])
+@pytest.mark.parametrize("r", [1, 4, 8])
+def test_scatter_order_contract(small_problem, precision, r):
+    """The CSR scatter plan accumulates each dof's contributions in
+    element order: bit-equal to ``np.add.at`` from zeros, and close to
+    the independently assembled dense operator."""
+    op = small_problem.ebe_operator(precision=precision, backend="numpy")
+    X = np.random.default_rng(100 + r).standard_normal((op.n, r))
+    Y = op.matvec(X)
+    np.testing.assert_array_equal(Y, _reference_sweep(op, X))
+
+    D = op.to_dense()
+    Xq = op.precision.quantize(X)
+    # componentwise bound: rounding of |D| |X| over <= 24 * 30 terms
+    bound = 1e3 * np.finfo(float).eps * (np.abs(D) @ np.abs(Xq))
+    assert np.all(np.abs(Y - D @ Xq) <= bound)
+
+
+def test_matvec_into_noncontiguous_column_slice(ops, rng):
+    A_ebe, _ = ops
+    r = 3
+    X = rng.standard_normal((A_ebe.n, r))
+    buf = np.full((A_ebe.n, r + 2), 7.0)
+    view = buf[:, 1:1 + r]
+    assert not view.flags.c_contiguous
+    assert A_ebe.matvec(X, out=view) is view
+    np.testing.assert_array_equal(view, A_ebe.matvec(X))
+    np.testing.assert_array_equal(buf[:, [0, r + 1]], 7.0)
+
+
 def test_tags_distinguish_fused_width(ops):
     A_ebe, _ = ops
     with tally_scope() as t:
